@@ -20,13 +20,10 @@
  * poller-based load generator (no thread-per-client: the generator
  * reuses the server's own EventPoller abstraction). Each connection
  * sends a few warm-cache requests separated by a THINK TIME, the
- * realistic interactive pattern where thread-per-session dies: a
- * thinking connection pins a whole session worker doing nothing.
- * At 1024 connections the sweep also measures the legacy threaded
- * core at 16 session workers — the PR-4 configuration — and asserts
- * the evented core sustains >= 5x its RPS with bounded p99 latency
- * (think time excluded from latency; connection starts are staggered
- * so the offered load, not a connect burst, is what is measured).
+ * interactive pattern in which most connections sit idle; the sweep
+ * asserts bounded p99 latency at every tier (think time excluded from
+ * latency; connection starts are staggered so the offered load, not
+ * a connect burst, is what is measured).
  *
  * `--json PATH` writes the machine-readable summary consumed by the
  * perf regression gate (scripts/perf_gate.py): RATIO metrics are the
@@ -232,8 +229,8 @@ measureSingleShot(size_t n)
 /* Part 2: the C10k sweep                                             */
 /* ------------------------------------------------------------------ */
 
-/** Think time between a connection's requests (the idle the evented
- * core absorbs and the threaded core pays a pinned worker for). */
+/** Think time between a connection's requests; an idle keep-alive
+ * connection holds no server thread meanwhile. */
 constexpr int kThinkMs = 100;
 /** Requests per connection in the sweep. */
 constexpr size_t kPerConn = 2;
@@ -514,12 +511,11 @@ driveC10k(int port, size_t conns)
 
 /** One sweep point: a warm resident server under C10k load. */
 Measurement
-measureC10k(size_t conns, server::CoreMode core, size_t workers)
+measureC10k(size_t conns)
 {
     obs::Registry registry;
     server::ServerOptions opt;
-    opt.core = core;
-    opt.workers = workers;
+    opt.workers = 4;
     opt.shards = 2;
     opt.queueCapacity = conns + 16;
     opt.maxConnections = 2 * conns + 16;
@@ -546,11 +542,10 @@ measureC10k(size_t conns, server::CoreMode core, size_t workers)
 }
 
 void
-addC10kRow(Table &t, size_t conns, const char *core,
-           const Measurement &m)
+addC10kRow(Table &t, size_t conns, const Measurement &m)
 {
-    t.addRow({Table::num((long)conns), core,
-              Table::num((long)m.requests), Table::num((long)m.errors),
+    t.addRow({Table::num((long)conns), Table::num((long)m.requests),
+              Table::num((long)m.errors),
               Table::num(m.rps, 1), Table::num(m.p50Us, 0),
               Table::num(m.p99Us, 0)});
 }
@@ -558,8 +553,7 @@ addC10kRow(Table &t, size_t conns, const char *core,
 bool
 writeJson(const std::string &path, const Measurement &shot,
           double cold4, double warm4, const Measurement &e256,
-          const Measurement &e1k, const Measurement &e4k,
-          const Measurement &t1k, double evented_vs_threaded)
+          const Measurement &e1k, const Measurement &e4k)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
@@ -571,14 +565,12 @@ writeJson(const std::string &path, const Measurement &shot,
         "{\n"
         "  \"schema\": \"macs-bench-server-v1\",\n"
         "  \"gated\": {\n"
-        "    \"warm4_vs_single_shot_ratio\": %.3f,\n"
-        "    \"evented_vs_threaded_1k_ratio\": %.3f\n"
+        "    \"warm4_vs_single_shot_ratio\": %.3f\n"
         "  },\n"
         "  \"informative\": {\n"
         "    \"single_shot_rps\": %.1f,\n"
         "    \"cold4_rps\": %.1f,\n"
         "    \"warm4_rps\": %.1f,\n"
-        "    \"threaded_1k_rps\": %.1f,\n"
         "    \"evented_256_rps\": %.1f,\n"
         "    \"evented_1k_rps\": %.1f,\n"
         "    \"evented_4k_rps\": %.1f,\n"
@@ -587,8 +579,8 @@ writeJson(const std::string &path, const Measurement &shot,
         "    \"evented_4k_p99_us\": %.0f\n"
         "  }\n"
         "}\n",
-        shot.rps > 0.0 ? warm4 / shot.rps : 0.0, evented_vs_threaded,
-        shot.rps, cold4, warm4, t1k.rps, e256.rps, e1k.rps, e4k.rps,
+        shot.rps > 0.0 ? warm4 / shot.rps : 0.0, shot.rps, cold4,
+        warm4, e256.rps, e1k.rps, e4k.rps,
         e256.p99Us, e1k.p99Us, e4k.p99Us);
     std::fclose(f);
     return true;
@@ -683,62 +675,36 @@ main(int argc, char **argv)
                 "staggered starts ===\n\n",
                 kPerConn, kThinkMs);
 
-    Table c10k({"conns", "core", "requests", "errors", "req/s",
-                "p50 us", "p99 us"});
+    Table c10k({"conns", "requests", "errors", "req/s", "p50 us",
+                "p99 us"});
 
-    Measurement e256 =
-        measureC10k(256, server::CoreMode::Evented, 4);
-    addC10kRow(c10k, 256, "evented", e256);
-
-    // Median of 3 for the evented side of the gated ratio; the
-    // threaded side's wall time is dominated by deterministic
-    // think-time waves, so one sample is stable.
-    Measurement e1k_samples[3];
-    for (Measurement &m : e1k_samples)
-        m = measureC10k(1024, server::CoreMode::Evented, 4);
-    std::sort(std::begin(e1k_samples), std::end(e1k_samples),
-              [](const Measurement &a, const Measurement &b) {
-                  return a.rps < b.rps;
-              });
-    Measurement e1k = e1k_samples[1];
-    addC10kRow(c10k, 1024, "evented", e1k);
-
-    Measurement t1k =
-        measureC10k(1024, server::CoreMode::Threaded, 16);
-    addC10kRow(c10k, 1024, "threaded-16w", t1k);
-
-    Measurement e4k =
-        measureC10k(4096, server::CoreMode::Evented, 4);
-    addC10kRow(c10k, 4096, "evented", e4k);
+    Measurement e256 = measureC10k(256);
+    addC10kRow(c10k, 256, e256);
+    Measurement e1k = measureC10k(1024);
+    addC10kRow(c10k, 1024, e1k);
+    Measurement e4k = measureC10k(4096);
+    addC10kRow(c10k, 4096, e4k);
 
     std::printf("%s\n", c10k.render().c_str());
 
-    size_t sweep_errors =
-        e256.errors + e1k.errors + t1k.errors + e4k.errors;
+    size_t sweep_errors = e256.errors + e1k.errors + e4k.errors;
     if (sweep_errors != 0) {
         std::printf("ERROR: %zu request failures in the C10k sweep\n",
                     sweep_errors);
         return 1;
     }
 
-    double evented_vs_threaded =
-        t1k.rps > 0.0 ? e1k.rps / t1k.rps : 0.0;
-    bool c10k_met = evented_vs_threaded >= 5.0;
-    std::printf("evented vs threaded-16w RPS at 1024 conns: %.1fx "
-                "(floor >= 5x): %s\n",
-                evented_vs_threaded, c10k_met ? "met" : "NOT met");
-
     // Bounded p99: a thinking herd must not starve active requests.
-    // Waves of worker hand-offs (the threaded failure mode) show up
-    // as p99 of SECONDS (think time x wave count); the evented core
-    // must stay orders of magnitude under that at every tier. The
-    // bound is loose enough for single-CPU hosts where the load
-    // generator itself competes with the server for the core.
+    // A server that pinned a worker per connection would serialize
+    // the herd into waves and show p99 of SECONDS (think time x wave
+    // count); the shards must stay orders of magnitude under that at
+    // every tier. The bound is loose enough for single-CPU hosts
+    // where the load generator itself competes with the server.
     constexpr double kP99BoundUs = 250000.0; // 250 ms
     bool p99_ok = e256.p99Us <= kP99BoundUs &&
                   e1k.p99Us <= kP99BoundUs &&
                   e4k.p99Us <= kP99BoundUs;
-    std::printf("evented p99 at 256/1024/4096 conns: "
+    std::printf("p99 at 256/1024/4096 conns: "
                 "%.0f/%.0f/%.0f us (bound <= %.0f us): %s\n\n",
                 e256.p99Us, e1k.p99Us, e4k.p99Us, kP99BoundUs,
                 p99_ok ? "met" : "NOT met");
@@ -750,15 +716,12 @@ main(int argc, char **argv)
         "hierarchy analysis; warm pre-computes the id mix so each\n"
         "request is an LRU cache hit and the remaining cost is HTTP\n"
         "parsing + dispatch + JSON rendering. The C10k sweep drives\n"
-        "keep-alive connections with think time: thread-per-session\n"
-        "pins a worker per connection (1024 conns / 16 workers = 64\n"
-        "serialized waves of think time), while the evented core\n"
-        "overlaps every idle connection for free.\n");
+        "keep-alive connections with think time; the event-loop\n"
+        "shards overlap every idle connection for free.\n");
 
     if (!json_path.empty() &&
-        !writeJson(json_path, shot, cold4, warm4, e256, e1k, e4k,
-                   t1k, evented_vs_threaded))
+        !writeJson(json_path, shot, cold4, warm4, e256, e1k, e4k))
         return 1;
 
-    return met && c10k_met && p99_ok ? 0 : 1;
+    return met && p99_ok ? 0 : 1;
 }

@@ -71,7 +71,7 @@ if [[ "${1:-}" == "--fast" ]]; then
 fi
 
 # Perf regression gate: run the server bench (in-bench floors assert
-# the >= 5x evented-vs-threaded C10k ratio and bounded p99), then diff
+# warm RPS >= 5x the single-shot RPS and bounded C10k p99), then diff
 # the gated RATIO metrics against the committed baseline; >15% drop
 # fails the build. Absolute RPS is informative only — see
 # scripts/perf_gate.py. Never run under sanitizers.

@@ -5,7 +5,7 @@ Compares a fresh bench JSON (produced with `--json`) against the
 committed baseline under bench/baselines/ and fails when any GATED
 metric regressed by more than the tolerance. Only the "gated" section
 is enforced: those are RATIOS of two measurements taken on the same
-host in the same run (warm vs single-shot, evented vs threaded), so
+host in the same run (warm vs single-shot, fast vs reference tier), so
 they are stable across machines of very different speed. The
 "informative" section (absolute RPS, p99 in microseconds) is printed
 for eyeballs but never gates — absolute numbers only mean something

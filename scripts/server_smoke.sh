@@ -136,6 +136,9 @@ expect_usage_error "--shards negative"    --shards -1
 expect_usage_error "--shards NaN"         --shards x
 expect_usage_error "--workers negative"   --workers -2
 expect_usage_error "--workers NaN"        --workers many
+# The thread-per-session core is gone; its flag must fail loudly
+# rather than be silently ignored.
+expect_usage_error "--core removed"       --core threaded
 expect_usage_error "--liveness <= heartbeat" \
     --processes 2 --heartbeat-ms 200 --liveness-ms 100
 

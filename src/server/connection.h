@@ -18,9 +18,8 @@
  * Edge-trigger contract: onReadable()/onWritable() drain the
  * transport until it reports WouldBlock, so a single epoll edge is
  * never lost. While a request is in COMPUTE, no further bytes are
- * read (one request in flight per connection, exactly like the
- * thread-per-session core); pipelined bytes already buffered are
- * picked up on the keep-alive reset.
+ * read (one request in flight per connection); pipelined bytes
+ * already buffered are picked up on the keep-alive reset.
  */
 
 #ifndef MACS_SERVER_CONNECTION_H

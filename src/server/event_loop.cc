@@ -32,6 +32,13 @@ wakeupToken()
     return nullptr;
 }
 
+/** Listening-socket sentinel; never equal to an encodeFd() value. */
+void *
+listenerToken()
+{
+    return reinterpret_cast<void *>(intptr_t{-1});
+}
+
 /** Conn fds ride in the data slot offset by 1 so fd 0 != sentinel. */
 void *
 encodeFd(int fd)
@@ -45,13 +52,35 @@ decodeFd(void *data)
     return static_cast<int>(reinterpret_cast<intptr_t>(data)) - 1;
 }
 
+/** A 503 that tells the client to come back (Retry-After). */
+HttpResponse
+retryLater(const Server &server, const std::string &message)
+{
+    HttpResponse r = errorResponse(503, message);
+    r.headers.emplace_back(
+        "Retry-After",
+        std::to_string(server.options().retryAfterSeconds));
+    return r;
+}
+
+void
+countRejected(const Server &server, const char *reason)
+{
+    server.metricsRegistry()
+        .counter("macs_server_rejected_total",
+                 "Connections and requests refused with 503, by "
+                 "reason",
+                 obs::Labels{{"reason", reason}})
+        .inc();
+}
+
 } // namespace
 
 /**
  * One event-loop shard: a thread around an EventPoller owning a set
- * of connections. All Conn state is touched ONLY on the shard thread;
- * the acceptor and compute workers communicate through the
- * mutex-guarded inbox + Wakeup doorbell.
+ * of connections, accepting its own from the shared listener. All
+ * Conn state is touched ONLY on the shard thread; compute workers
+ * post completions through the mutex-guarded inbox + Wakeup doorbell.
  */
 class EventLoopCore::Shard
 {
@@ -70,7 +99,7 @@ class EventLoopCore::Shard
               obs::Labels{{"shard", std::to_string(index)}})),
           notifyWakeups_(server.metricsRegistry().counter(
               "macs_server_notify_wakeups_total",
-              "Doorbell wakeups from acceptor/compute threads",
+              "Doorbell wakeups from compute threads or drain",
               obs::Labels{{"shard", std::to_string(index)}}))
     {
     }
@@ -78,16 +107,6 @@ class EventLoopCore::Shard
     void start()
     {
         thread_ = std::thread([this] { loop(); });
-    }
-
-    /** Acceptor side: enqueue a connection and ring the doorbell. */
-    void adopt(int fd)
-    {
-        {
-            std::lock_guard<std::mutex> lock(inboxMu_);
-            newFds_.push_back(fd);
-        }
-        wakeup_.notify();
     }
 
     /** Compute side: post a finished response back to the shard. */
@@ -172,7 +191,10 @@ class EventLoopCore::Shard
 
     void loop()
     {
+        const int listen_fd = core_.listener_.fd();
         poller_.add(wakeup_.fd(), false, wakeupToken());
+        poller_.add(listen_fd, false, listenerToken(),
+                    /*exclusive=*/true);
         std::vector<PollEvent> events;
         for (;;) {
             int n = poller_.wait(events, kWaitSliceMs);
@@ -182,6 +204,10 @@ class EventLoopCore::Shard
                 if (e.data == wakeupToken()) {
                     wakeup_.drain();
                     notifyWakeups_.inc();
+                    continue;
+                }
+                if (e.data == listenerToken()) {
+                    acceptAll();
                     continue;
                 }
                 // Look the fd up again: an earlier event in this
@@ -204,38 +230,107 @@ class EventLoopCore::Shard
                     handleReadable(*c);
                 }
             }
+            if (acceptRetry_)
+                acceptAll();
             drainInbox();
             checkDeadlines();
             if (server_.stopping()) {
+                poller_.del(listen_fd); // stop accepting
                 closeIdleConns();
                 std::lock_guard<std::mutex> lock(inboxMu_);
                 if (conns_.empty() && pendingCompute_ == 0 &&
-                    newFds_.empty() && completions_.empty())
+                    completions_.empty())
                     break;
             }
         }
         poller_.del(wakeup_.fd());
     }
 
+    /**
+     * Accept every pending connection (the listener is
+     * edge-triggered and non-blocking), admit, and adopt it here.
+     */
+    void acceptAll()
+    {
+        acceptRetry_ = false;
+        bool accepted = false;
+        while (!server_.stopping()) {
+            int fd = core_.listener_.accept();
+            if (fd == kIoTimeout)
+                break; // EAGAIN: the backlog is empty
+            if (fd == kIoError) {
+                // Out of fds or buffers: the connection stays in the
+                // backlog; retry after the next wait slice.
+                acceptRetry_ = true;
+                break;
+            }
+            accepted = true;
+            if (admit(fd))
+                adopt(fd);
+        }
+        if (accepted) {
+            // EPOLLEXCLUSIVE wakes the first idle poller in the
+            // listener's wait queue; re-registering moves this shard
+            // to the back, so idle shards take turns.
+            poller_.del(core_.listener_.fd());
+            poller_.add(core_.listener_.fd(), false, listenerToken(),
+                        /*exclusive=*/true);
+        }
+    }
+
+    /**
+     * Admission of one accepted connection: the net-accept fault
+     * first, then the open-connection bound. A rejected connection
+     * is answered 503 + Retry-After and closed.
+     */
+    bool admit(int fd)
+    {
+        server_.metricsRegistry()
+            .counter("macs_server_connections_total",
+                     "Connections accepted")
+            .inc();
+        const char *reason = nullptr;
+        if (server_.faultInjector().shouldFire(
+                faults::Site::NetAccept)) {
+            reason = "fault";
+        } else if (core_.connections_.fetch_add(
+                       1, std::memory_order_acq_rel) >=
+                   server_.options().maxConnections) {
+            core_.connections_.fetch_sub(1,
+                                         std::memory_order_acq_rel);
+            reason = "backpressure";
+        } else {
+            return true;
+        }
+        countRejected(server_, reason);
+        std::string bytes = serializeResponse(
+            retryLater(server_,
+                       detail::concat(
+                           "connection rejected (", reason,
+                           "); retry after ",
+                           server_.options().retryAfterSeconds, "s")),
+            false);
+        // One non-blocking send: a shard never waits on a peer, and
+        // the client may already be gone.
+        (void)::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+        closeFd(fd);
+        return false;
+    }
+
     void drainInbox()
     {
-        std::vector<int> fds;
         std::vector<Completion> done;
         {
             std::lock_guard<std::mutex> lock(inboxMu_);
-            fds.swap(newFds_);
             done.swap(completions_);
         }
-        for (int fd : fds)
-            adoptLocal(fd);
         for (Completion &c : done)
             applyCompletion(std::move(c));
     }
 
-    void adoptLocal(int fd)
+    void adopt(int fd)
     {
-        if (!setNonBlocking(fd) ||
-            !poller_.add(fd, false, encodeFd(fd))) {
+        if (!poller_.add(fd, false, encodeFd(fd))) {
             closeFd(fd);
             core_.connections_.fetch_sub(1,
                                          std::memory_order_acq_rel);
@@ -285,8 +380,7 @@ class EventLoopCore::Shard
             return;
         case Connection::ReadEvent::TornRequest:
             // The peer closed mid-message: count it like the 408
-            // path, close without a response (matching the
-            // thread-per-session core byte for byte).
+            // path and close without a response.
             server_.countRequest("other", 408);
             closeConn(c.fd);
             return;
@@ -304,11 +398,19 @@ class EventLoopCore::Shard
             // Injected read fault: the request is NOT silently
             // dropped — the client gets an explicit retriable 503.
             HttpResponse r =
-                errorResponse(503, "transient read fault; retry");
-            r.headers.emplace_back(
-                "Retry-After",
-                std::to_string(
-                    server_.options().retryAfterSeconds));
+                retryLater(server_, "transient read fault; retry");
+            server_.countRequest(routeLabel(request.path),
+                                 r.status);
+            respond(c, r, false);
+            return;
+        }
+        if (server_.computePool().queuedTasks() >=
+            server_.options().queueCapacity) {
+            // Request-level admission: shed explicitly rather than
+            // queue without bound behind the compute workers.
+            countRejected(server_, "backpressure");
+            HttpResponse r =
+                retryLater(server_, "compute queue full; retry");
             server_.countRequest(routeLabel(request.path),
                                  r.status);
             respond(c, r, false);
@@ -338,7 +440,7 @@ class EventLoopCore::Shard
             });
         server_.metricsRegistry()
             .gauge("macs_server_queue_depth",
-                   "Accepted sessions waiting for a worker")
+                   "Requests waiting for a compute worker")
             .set(static_cast<double>(
                 server_.computePool().queuedTasks()));
     }
@@ -462,22 +564,23 @@ class EventLoopCore::Shard
     std::thread thread_;
 
     std::mutex inboxMu_;
-    std::vector<int> newFds_;            ///< guarded by inboxMu_
     std::vector<Completion> completions_; ///< guarded by inboxMu_
 
     // Shard-thread-only state.
     std::map<int, std::unique_ptr<Conn>> conns_;
     size_t pendingCompute_ = 0;
     uint64_t nextGen_ = 1;
+    bool acceptRetry_ = false;
 
     obs::Gauge &connGauge_;
     obs::Counter &pollWakeups_;
     obs::Counter &notifyWakeups_;
 };
 
-EventLoopCore::EventLoopCore(Server &server, size_t shard_count,
+EventLoopCore::EventLoopCore(Server &server, Listener &listener,
+                             size_t shard_count,
                              EventPoller::Backend backend)
-    : server_(server)
+    : server_(server), listener_(listener)
 {
     MACS_ASSERT(shard_count >= 1, "event loop needs >= 1 shard");
     shards_.reserve(shard_count);
@@ -497,15 +600,6 @@ EventLoopCore::start()
 {
     for (auto &shard : shards_)
         shard->start();
-}
-
-void
-EventLoopCore::adopt(int fd)
-{
-    connections_.fetch_add(1, std::memory_order_acq_rel);
-    size_t i = nextShard_.fetch_add(1, std::memory_order_relaxed) %
-               shards_.size();
-    shards_[i]->adopt(fd);
 }
 
 void

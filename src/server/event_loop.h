@@ -4,19 +4,25 @@
  *
  * EventLoopCore runs a small number of shards, each a thread around
  * an edge-triggered EventPoller (epoll on Linux, poll(2) fallback)
- * owning a set of non-blocking connections. The acceptor hands
- * admitted fds to shards round-robin; each shard drives the
- * per-connection state machine (server/connection.h), dispatches
+ * owning a set of non-blocking connections. Every shard polls the one
+ * listening socket (EPOLLEXCLUSIVE on epoll, so a new connection
+ * wakes one idle shard rather than all of them); the shard that sees
+ * it ready accepts until EAGAIN, applies admission (the net-accept
+ * fault, then the open-connection bound, each answered with a 503 +
+ * Retry-After), and adopts the connection itself. Each shard drives
+ * the per-connection state machine (server/connection.h), dispatches
  * complete requests to the compute ThreadPool, and is woken through a
  * Wakeup doorbell when a worker posts the finished response back.
  *
- * Contracts preserved from the thread-per-session core, verbatim:
- * admission backpressure (503 + Retry-After decided at accept), the
- * net-read / net-write fault sites firing once per parsed request /
- * per response delivery, per-request read deadlines (408 on a torn or
- * trickled request, silent close when idle), response write
- * deadlines, graceful drain (in-flight requests finish and are
- * answered `Connection: close`), and byte-identical response bodies.
+ * Per-connection contracts: request-level admission (503 +
+ * Retry-After and `Connection: close` when the compute queue holds
+ * queueCapacity requests), the net-read / net-write fault sites
+ * firing once per parsed request / per response delivery,
+ * per-request read deadlines (408 on a torn or trickled request,
+ * silent close when idle), response write deadlines, graceful drain
+ * (in-flight requests finish and are answered `Connection: close`),
+ * and byte-identical response bodies (pinned by the HTTP corpus
+ * goldens under tests/golden/http/).
  */
 
 #ifndef MACS_SERVER_EVENT_LOOP_H
@@ -27,6 +33,7 @@
 #include <memory>
 #include <vector>
 
+#include "server/net.h"
 #include "server/poller.h"
 
 namespace macs::server {
@@ -38,11 +45,12 @@ class EventLoopCore
   public:
     /**
      * @param server      owner; outlives the core.
+     * @param listener    open listening socket; outlives the core.
      * @param shard_count number of event-loop shards (>= 1).
      * @param backend     poller backend (Default = epoll on Linux).
      */
-    EventLoopCore(Server &server, size_t shard_count,
-                  EventPoller::Backend backend);
+    EventLoopCore(Server &server, Listener &listener,
+                  size_t shard_count, EventPoller::Backend backend);
     ~EventLoopCore();
 
     EventLoopCore(const EventLoopCore &) = delete;
@@ -50,12 +58,6 @@ class EventLoopCore
 
     /** Start one thread per shard. */
     void start();
-
-    /**
-     * Hand an accepted connection to the next shard (round-robin).
-     * Called from the acceptor thread after admission control.
-     */
-    void adopt(int fd);
 
     /** Wake every shard so it observes Server::stopping(). */
     void requestStop();
@@ -80,8 +82,8 @@ class EventLoopCore
     friend class Shard;
 
     Server &server_;
+    Listener &listener_;
     std::vector<std::unique_ptr<Shard>> shards_;
-    std::atomic<size_t> nextShard_{0};
     std::atomic<size_t> connections_{0};
 };
 

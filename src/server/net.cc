@@ -62,7 +62,7 @@ Listener::open(const std::string &host, int port, int backlog,
     if (!parseAddr(host, port, addr))
         fatal("serve: cannot parse listen address '", host, "'");
 
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (fd < 0)
         fatal("serve: socket(): ", std::strerror(errno));
     int one = 1;
@@ -99,22 +99,18 @@ Listener::open(const std::string &host, int port, int backlog,
 }
 
 int
-Listener::acceptFor(int timeout_ms)
+Listener::accept()
 {
     if (fd_ < 0)
         return kIoError;
-    pollfd pfd{fd_, POLLIN, 0};
-    int rc = ::poll(&pfd, 1, timeout_ms);
-    if (rc == 0)
-        return kIoTimeout;
-    if (rc < 0)
-        return errno == EINTR ? kIoTimeout : kIoError;
-    int conn = ::accept(fd_, nullptr, nullptr);
+    int conn = -1;
+    do {
+        conn = ::accept4(fd_, nullptr, nullptr,
+                         SOCK_NONBLOCK | SOCK_CLOEXEC);
+    } while (conn < 0 && (errno == EINTR || errno == ECONNABORTED));
     if (conn < 0)
-        return errno == EINTR || errno == EAGAIN ||
-                       errno == EWOULDBLOCK || errno == ECONNABORTED
-                   ? kIoTimeout
-                   : kIoError;
+        return errno == EAGAIN || errno == EWOULDBLOCK ? kIoTimeout
+                                                       : kIoError;
     int one = 1;
     ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     return conn;

@@ -1,9 +1,8 @@
 /**
  * @file
  * Thin POSIX socket layer of `macs serve` (docs/SERVER.md): a
- * listening socket with timeout-sliced accept (so the acceptor can
- * observe the stop flag without signals), and deadline-bounded
- * read/write primitives used by both the server sessions and the
+ * non-blocking listening socket that the event-loop shards poll and
+ * accept from, and deadline-bounded read/write primitives used by the
  * in-process HTTP client. IPv4 loopback-oriented; everything returns
  * explicit status codes instead of blocking forever.
  */
@@ -22,7 +21,8 @@ inline constexpr int kIoTimeout = -1;
 inline constexpr int kIoError = -2;
 inline constexpr int kIoEof = 0;
 
-/** TCP listening socket (SO_REUSEADDR, port 0 = ephemeral). */
+/** Non-blocking TCP listening socket (SO_REUSEADDR, port 0 =
+ *  ephemeral). */
 class Listener
 {
   public:
@@ -45,12 +45,17 @@ class Listener
     /** The bound port (resolves port 0 after open()). */
     int boundPort() const { return port_; }
 
+    /** The listening fd (-1 when closed), for an EventPoller. */
+    int fd() const { return fd_; }
+
     /**
-     * Wait up to @p timeout_ms for one connection.
-     * @return a connected fd >= 0, kIoTimeout, or kIoError (also
-     *         returned once the listener was closed).
+     * Accept one pending connection without blocking. The returned
+     * fd is non-blocking, close-on-exec, and TCP_NODELAY.
+     * @return a connected fd >= 0, kIoTimeout when none is pending,
+     *         or kIoError (also returned once the listener was
+     *         closed).
      */
-    int acceptFor(int timeout_ms);
+    int accept();
 
     void close();
 

@@ -66,14 +66,16 @@ epollMask(bool want_write)
 #endif
 
 bool
-EventPoller::add(int fd, bool want_write, void *data)
+EventPoller::add(int fd, bool want_write, void *data, bool exclusive)
 {
     if (fd < 0)
         return false;
 #ifdef __linux__
     if (epollFd_ >= 0) {
         epoll_event ev{};
-        ev.events = epollMask(want_write);
+        // EPOLLEXCLUSIVE admits only EPOLLIN/EPOLLOUT/EPOLLET.
+        ev.events = exclusive ? EPOLLIN | EPOLLET | EPOLLEXCLUSIVE
+                              : epollMask(want_write);
         ev.data.ptr = data;
         if (::epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev) != 0)
             return false;

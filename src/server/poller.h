@@ -53,10 +53,14 @@ class EventPoller
 
     /**
      * Register @p fd for read readiness (plus write readiness when
-     * @p want_write). @p data is echoed back in PollEvent.
+     * @p want_write). @p data is echoed back in PollEvent. With
+     * @p exclusive (a listening socket shared by several pollers),
+     * epoll wakes only one of the pollers waiting on the fd
+     * (EPOLLEXCLUSIVE); such an fd cannot be mod()ified.
      * @retval false on registration failure (fd limit, bad fd).
      */
-    bool add(int fd, bool want_write, void *data);
+    bool add(int fd, bool want_write, void *data,
+             bool exclusive = false);
 
     /** Change the write-interest / data of a registered fd. */
     bool mod(int fd, bool want_write, void *data);

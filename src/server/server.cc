@@ -1,8 +1,7 @@
 #include "server/server.h"
 
 #include <algorithm>
-#include <chrono>
-#include <exception>
+#include <thread>
 
 #include "lfk/kernels.h"
 #include "machine/machine_file.h"
@@ -19,17 +18,6 @@
 namespace macs::server {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-int
-remainingMs(Clock::time_point deadline)
-{
-    auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    deadline - Clock::now())
-                    .count();
-    return left > 0 ? static_cast<int>(left) : 0;
-}
 
 bool
 looksLikeJson(const HttpRequest &request)
@@ -241,9 +229,10 @@ void
 Server::start()
 {
     // SIGPIPE audit (docs/ROBUSTNESS.md): every socket send in this
-    // subsystem passes MSG_NOSIGNAL (net.cc writeAll, event_loop.cc
-    // Conn::write), but the poller's self-pipe doorbell and the
-    // supervised heartbeat pipe use plain write(2) — install the
+    // subsystem passes MSG_NOSIGNAL (event_loop.cc Conn::write and
+    // the 503 of a rejected connection, net.cc writeAll), but the
+    // poller's self-pipe doorbell and the supervised heartbeat pipe
+    // use plain write(2) — install the
     // one-time SIG_IGN here so a vanished peer is always EPIPE, even
     // for embedders that never go through the CLI.
     ignoreSigpipe();
@@ -260,32 +249,27 @@ Server::start()
                 "Connections accepted");
     for (const char *reason : {"backpressure", "fault"})
         reg.counter("macs_server_rejected_total",
-                    "Connections rejected before dispatch, by reason",
+                    "Connections and requests refused with 503, by "
+                    "reason",
                     obs::Labels{{"reason", reason}});
     reg.gauge("macs_server_queue_depth",
-              "Accepted sessions waiting for a worker");
+              "Requests waiting for a compute worker");
     reg.gauge("macs_server_inflight", "Requests currently executing");
-
-    if (options_.core == CoreMode::Evented) {
-        size_t shards =
-            options_.shards != 0
-                ? options_.shards
-                : std::min<size_t>(
-                      4, std::max(1u,
-                                  std::thread::hardware_concurrency()));
-        // The Shard constructors pre-register the per-shard series
-        // (connection gauges, wakeup counters) at zero.
-        core_ = std::make_unique<EventLoopCore>(
-            *this, shards,
-            options_.pollFallback ? EventPoller::Backend::Poll
-                                  : EventPoller::Backend::Default);
-        core_->start();
-    }
 
     listener_.open(options_.host, options_.port, 128,
                    options_.reusePort);
-    started_.store(true, std::memory_order_release);
-    acceptor_ = std::thread([this] { acceptLoop(); });
+    size_t shards =
+        options_.shards != 0
+            ? options_.shards
+            : std::min<size_t>(
+                  4, std::max(1u, std::thread::hardware_concurrency()));
+    // The Shard constructors pre-register the per-shard series
+    // (connection gauges, wakeup counters) at zero.
+    core_ = std::make_unique<EventLoopCore>(
+        *this, listener_, shards,
+        options_.pollFallback ? EventPoller::Backend::Poll
+                              : EventPoller::Backend::Default);
+    core_->start();
 }
 
 void
@@ -294,12 +278,10 @@ Server::drain()
     requestStop();
     if (drained_.exchange(true))
         return;
-    if (acceptor_.joinable())
-        acceptor_.join();
     if (core_ != nullptr) {
-        // Shards finish in-flight requests (answered `Connection:
-        // close`), drop idle connections, and exit; only then is the
-        // compute pool idled.
+        // Shards stop accepting, finish in-flight requests (answered
+        // `Connection: close`), drop idle connections, and exit; only
+        // then is the compute pool idled.
         core_->requestStop();
         core_->join();
     }
@@ -307,184 +289,6 @@ Server::drain()
     if (pool_ != nullptr)
         pool_->waitIdle();
     service_.reapStrays();
-}
-
-void
-Server::rejectConnection(int fd, const char *reason)
-{
-    registry()
-        .counter("macs_server_rejected_total",
-                 "Connections rejected before dispatch, by reason",
-                 obs::Labels{{"reason", reason}})
-        .inc();
-    HttpResponse response;
-    response.status = 503;
-    response.headers.emplace_back(
-        "Retry-After", std::to_string(options_.retryAfterSeconds));
-    response.body = errorBody(
-        503, detail::concat("connection rejected (", reason,
-                            "); retry after ",
-                            options_.retryAfterSeconds, "s"));
-    // Best-effort: the client may already be gone.
-    (void)writeAll(fd, serializeResponse(response, false),
-                   options_.writeTimeoutMs);
-    closeFd(fd);
-}
-
-void
-Server::acceptLoop()
-{
-    while (!stopping()) {
-        int fd = listener_.acceptFor(100);
-        if (fd == kIoTimeout)
-            continue;
-        if (fd == kIoError) {
-            if (stopping() || !listener_.isOpen())
-                break;
-            continue;
-        }
-        registry()
-            .counter("macs_server_connections_total",
-                     "Connections accepted")
-            .inc();
-        if (injector().shouldFire(faults::Site::NetAccept)) {
-            rejectConnection(fd, "fault");
-            continue;
-        }
-        if (pool_->queuedTasks() >= options_.queueCapacity) {
-            rejectConnection(fd, "backpressure");
-            continue;
-        }
-        if (core_ != nullptr) {
-            // Evented core: connections are cheap but not free —
-            // bound the open-connection count, then hand off.
-            if (core_->connectionCount() >= options_.maxConnections) {
-                rejectConnection(fd, "backpressure");
-                continue;
-            }
-            core_->adopt(fd);
-            continue;
-        }
-        pool_->submit([this, fd] { runSession(fd); });
-        registry()
-            .gauge("macs_server_queue_depth",
-                   "Accepted sessions waiting for a worker")
-            .set(static_cast<double>(pool_->queuedTasks()));
-    }
-}
-
-bool
-Server::deliverResponse(int fd, const HttpResponse &response,
-                        bool keep_alive)
-{
-    if (injector().shouldFire(faults::Site::NetWrite))
-        return false; // injected write fault: cut the connection
-    return writeAll(fd, serializeResponse(response, keep_alive),
-                    options_.writeTimeoutMs);
-}
-
-void
-Server::runSession(int fd)
-{
-    registry()
-        .gauge("macs_server_queue_depth",
-               "Accepted sessions waiting for a worker")
-        .set(static_cast<double>(pool_->queuedTasks()));
-
-    RequestParser parser(options_.limits);
-    char buf[16384];
-
-    for (;;) {
-        // Read one full request. A single deadline bounds both the
-        // keep-alive idle wait and the request read, so a slow or
-        // torn request cannot pin a worker.
-        Clock::time_point deadline =
-            Clock::now() +
-            std::chrono::milliseconds(options_.requestTimeoutMs);
-        while (!parser.complete() && !parser.failed()) {
-            int left = remainingMs(deadline);
-            if (left == 0) {
-                if (!parser.idle()) {
-                    HttpResponse r = errorResponse(
-                        408, format("request not complete within "
-                                    "the %d ms read deadline",
-                                    options_.requestTimeoutMs));
-                    countRequest("other", 408);
-                    (void)deliverResponse(fd, r, false);
-                }
-                closeFd(fd);
-                return;
-            }
-            int n = readWithDeadline(fd, buf, sizeof(buf),
-                                     std::min(left, 100));
-            if (n > 0) {
-                parser.feed(std::string_view(
-                    buf, static_cast<size_t>(n)));
-                continue;
-            }
-            if (n == kIoTimeout) {
-                // Draining: drop idle keep-alive connections; let a
-                // request that is mid-flight finish within its
-                // deadline.
-                if (stopping() && parser.idle()) {
-                    closeFd(fd);
-                    return;
-                }
-                continue;
-            }
-            if (n == kIoEof && !parser.idle()) {
-                // Torn request: the peer closed mid-message.
-                countRequest("other", 408);
-                closeFd(fd);
-                return;
-            }
-            closeFd(fd); // EOF between requests, or socket error
-            return;
-        }
-
-        if (parser.failed()) {
-            HttpResponse r = errorResponse(parser.errorStatus(),
-                                           parser.errorDetail());
-            countRequest("other", r.status);
-            (void)deliverResponse(fd, r, false);
-            closeFd(fd);
-            return;
-        }
-
-        HttpRequest request = parser.take();
-
-        if (injector().shouldFire(faults::Site::NetRead)) {
-            // Injected read fault: the request is NOT silently
-            // dropped — the client gets an explicit retriable 503.
-            HttpResponse r = errorResponse(
-                503, "transient read fault; retry");
-            r.headers.emplace_back(
-                "Retry-After",
-                std::to_string(options_.retryAfterSeconds));
-            countRequest(routeLabel(request.path), 503);
-            (void)deliverResponse(fd, r, false);
-            closeFd(fd);
-            return;
-        }
-
-        obs::Gauge &inflight = registry().gauge(
-            "macs_server_inflight", "Requests currently executing");
-        inflight.add(1.0);
-        HttpResponse response;
-        try {
-            response = handle(request);
-        } catch (const std::exception &e) {
-            response = errorResponse(500, e.what());
-            countRequest(routeLabel(request.path), 500);
-        }
-        inflight.add(-1.0);
-
-        bool keep = request.keepAlive && !stopping();
-        if (!deliverResponse(fd, response, keep) || !keep) {
-            closeFd(fd);
-            return;
-        }
-    }
 }
 
 HttpResponse

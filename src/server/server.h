@@ -2,31 +2,26 @@
  * @file
  * `macs serve` — the concurrent analysis server (docs/SERVER.md).
  *
- * Architecture (CoreMode::Evented, the default): one acceptor thread
- * performs admission control and hands connections round-robin to a
- * small number of event-loop shards (event_loop.h) — epoll-based
- * readiness loops driving non-blocking per-connection state machines
- * (connection.h). Complete requests are dispatched to the compute
+ * Architecture: a small number of event-loop shards (event_loop.h)
+ * — epoll-based readiness loops driving non-blocking per-connection
+ * state machines (connection.h). Every shard polls the listening
+ * socket and accepts, admits, and owns its own connections; there is
+ * no acceptor thread. Complete requests are dispatched to the compute
  * ThreadPool and responses posted back through a wakeup doorbell, so
- * thousands of idle keep-alive connections cost no threads.
+ * thousands of idle keep-alive connections cost no threads: a running
+ * server has exactly shards + workers threads. Requests are evaluated
+ * through the shared AnalysisService, whose LRU-bounded cache and
+ * guarded compute are exactly the batch engine's.
  *
- * CoreMode::Threaded keeps the original thread-per-session core
- * (each session worker runs the blocking keep-alive HTTP/1.1 loop,
- * net.h deadline-bounded I/O). It is retained as the differential
- * baseline: tests replay the adversarial corpus through BOTH cores
- * and assert byte-identical replies, and the bench measures the
- * evented core's speedup against it. Either way, requests are
- * evaluated through the shared AnalysisService, whose LRU-bounded
- * cache and guarded compute are exactly the batch engine's.
- *
- * Admission control: when the pool's pending-session queue is at
- * queueCapacity, new connections receive a canned 503 with
- * Retry-After and are closed — requests are never silently dropped.
+ * Admission control, each answered with a 503 + Retry-After rather
+ * than a silent drop: at accept, beyond maxConnections open
+ * connections; per request, when queueCapacity requests already wait
+ * for a compute worker (the connection is then closed).
  *
  * Graceful drain: requestStop() (atomic, callable from a signal
- * handler's sibling thread) makes the acceptor stop accepting and the
- * sessions finish their in-flight request, answer with `Connection:
- * close`, and exit; drain() joins everything and is idempotent.
+ * handler's sibling thread) makes the shards stop accepting and
+ * finish their in-flight requests, answered with `Connection:
+ * close`; drain() wakes and joins them and is idempotent.
  *
  * Fault sites (docs/ROBUSTNESS.md): net-accept (reject an accepted
  * connection with 503), net-read (fail a parsed request with 503 +
@@ -46,7 +41,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "server/http.h"
 #include "server/net.h"
@@ -57,30 +51,19 @@ namespace macs::server {
 
 class EventLoopCore;
 
-/** Connection-handling core (see the file comment). */
-enum class CoreMode
-{
-    /** Sharded event loop; idle connections cost no threads. */
-    Evented,
-    /** Legacy thread-per-session core (differential baseline). */
-    Threaded,
-};
-
 /** Server construction options. */
 struct ServerOptions
 {
     std::string host = "127.0.0.1";
     /** Listen port; 0 binds an ephemeral port (see Server::port()). */
     int port = 0;
-    /** Session workers; 0 means std::thread::hardware_concurrency(). */
+    /** Compute workers; 0 means std::thread::hardware_concurrency(). */
     size_t workers = 0;
-    /** Pending (accepted, unstarted) sessions before 503. */
+    /** Requests waiting for a compute worker before a request 503. */
     size_t queueCapacity = 64;
-    /** Connection-handling core. */
-    CoreMode core = CoreMode::Evented;
-    /** Event-loop shards (Evented only); 0 means min(4, cores). */
+    /** Event-loop shards; 0 means min(4, cores). */
     size_t shards = 0;
-    /** Open-connection bound of the evented core before 503. */
+    /** Open-connection bound before an accept-time 503. */
     size_t maxConnections = 4096;
     /** Force the poll(2) poller backend (portability testing). */
     bool pollFallback = false;
@@ -126,13 +109,13 @@ class Server
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
-    /** Bind, listen, and start the acceptor; fatal() on bind errors. */
+    /** Bind, listen, and start the shards; fatal() on bind errors. */
     void start();
 
     /** The bound port (resolves an ephemeral request after start()). */
     int port() const { return listener_.boundPort(); }
 
-    /** Begin drain: stop accepting, let sessions finish. Atomic. */
+    /** Begin drain: stop accepting, let requests finish. Atomic. */
     void requestStop() { stop_.store(true, std::memory_order_release); }
 
     bool stopping() const
@@ -141,16 +124,16 @@ class Server
     }
 
     /**
-     * requestStop(), join the acceptor, wait for every session to
-     * finish its in-flight request, reap deadline strays. Idempotent;
-     * also called by the destructor.
+     * requestStop(), wake the shards and join them once every
+     * in-flight request is answered, reap deadline strays.
+     * Idempotent; also called by the destructor.
      */
     void drain();
 
     /**
      * Route @p request and produce its response. Public so tests can
-     * exercise the dispatch table without a socket; the session loop
-     * calls exactly this.
+     * exercise the dispatch table without a socket; compute workers
+     * call exactly this.
      */
     HttpResponse handle(const HttpRequest &request);
 
@@ -170,17 +153,11 @@ class Server
     }
     pipeline::ThreadPool &computePool() { return *pool_; }
     void countRequest(const std::string &route, int status);
-    /** Live connections owned by the evented core (0 if Threaded). */
+    /** Live connections owned by the shards (0 before start()). */
     size_t connectionCount() const;
     /** @} */
 
   private:
-    void acceptLoop();
-    void runSession(int fd);
-    void rejectConnection(int fd, const char *reason);
-    bool deliverResponse(int fd, const HttpResponse &response,
-                         bool keep_alive);
-
     HttpResponse handleHealth() const;
     HttpResponse handleMetrics() const;
     HttpResponse handleVersion() const;
@@ -205,11 +182,10 @@ class Server
     std::map<std::string, std::string> mpCache_;
     Listener listener_;
     std::unique_ptr<pipeline::ThreadPool> pool_;
-    /** Declared after pool_: shards die before the pool they feed. */
+    /** Declared after listener_ and pool_: shards die before the
+     *  listener they poll and the pool they feed. */
     std::unique_ptr<EventLoopCore> core_;
-    std::thread acceptor_;
     std::atomic<bool> stop_{false};
-    std::atomic<bool> started_{false};
     std::atomic<bool> drained_{false};
 };
 

@@ -6,7 +6,7 @@
  * The batch CLI runs BatchEngine::run() once over a job set; a server
  * instead receives many small, concurrent job sets whose latencies
  * must not couple. The service therefore evaluates jobs INLINE on the
- * calling thread (the server's session worker) against one
+ * calling thread (the server's compute worker) against one
  * process-wide, LRU-bounded AnalysisCache, reusing the exact guarded
  * compute of the batch engine (pipeline::computeAnalysisGuarded): the
  * same retry/backoff envelope, the same fault sites keyed on
@@ -100,7 +100,7 @@ class AnalysisService
      * order, shared cache) and return the same BatchResult shape
      * BatchEngine::run() produces. @p cancel, when set, aborts
      * retries/backoffs early (in-flight computes run to completion).
-     * Thread-safe: any number of sessions may call concurrently.
+     * Thread-safe: any number of workers may call concurrently.
      */
     pipeline::BatchResult
     runJobs(const std::vector<pipeline::BatchJob> &jobs,

@@ -18,8 +18,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -199,25 +201,11 @@ replayThroughServer(TestServer &ts, const std::string &bytes)
     return reply;
 }
 
-TEST(DualCore, WholeCorpusRepliesByteIdentical)
+/** Every corpus case: top-level parser cases, then stream/ cases. */
+std::vector<fs::path>
+corpusFiles()
 {
-    // The legacy thread-per-session core is the behavioral oracle:
-    // every corpus case — parser-level malformed requests AND the
-    // connection-level stream/ cases (premature close, interleaved
-    // half request, pipelining) — must produce a byte-identical
-    // response stream from the evented core.
-    ServerOptions evented_opt;
-    evented_opt.workers = 2;
-    ServerOptions threaded_opt;
-    threaded_opt.core = CoreMode::Threaded;
-    threaded_opt.workers = 2;
-    TestServer evented(evented_opt);
-    TestServer threaded(threaded_opt);
-    evented.start();
-    threaded.start();
-
     fs::path dir = fs::path(MACS_CORPUS_DIR) / "http";
-    ASSERT_TRUE(fs::exists(dir)) << dir;
     std::vector<fs::path> files;
     for (const auto &entry : fs::directory_iterator(dir))
         if (entry.is_regular_file())
@@ -226,31 +214,72 @@ TEST(DualCore, WholeCorpusRepliesByteIdentical)
         if (entry.is_regular_file())
             files.push_back(entry.path());
     std::sort(files.begin(), files.end());
-    ASSERT_GE(files.size(), 24u) << "corpus unexpectedly small";
+    return files;
+}
 
+/** tests/golden/http/[stream/]<case>.reply for one corpus file. */
+fs::path
+goldenReplyPath(const fs::path &corpus_file)
+{
+    fs::path rel = fs::relative(corpus_file,
+                                fs::path(MACS_CORPUS_DIR) / "http");
+    return (fs::path(MACS_GOLDEN_DIR) / "http" / rel)
+        .replace_extension(".reply");
+}
+
+bool
+updateGoldenRequested()
+{
+    const char *env = std::getenv("UPDATE_GOLDEN");
+    return env != nullptr && env[0] != '\0' && std::string(env) != "0";
+}
+
+TEST(HttpGolden, WholeCorpusRepliesMatchGoldens)
+{
+    // Every corpus case -- parser-level malformed requests AND the
+    // connection-level stream/ cases (premature close, interleaved
+    // half request, pipelining) -- must produce the response stream
+    // pinned under tests/golden/http/, byte for byte. The cases are
+    // replayed in sorted order against one fresh server, so stateful
+    // replies (/healthz cache_entries) are deterministic. To
+    // regenerate after an intentional change, run
+    //     UPDATE_GOLDEN=1 ./build/tests/server_test
+    //         --gtest_filter=HttpGolden.*
+    ServerOptions opt;
+    opt.workers = 2;
+    TestServer ts(opt);
+    ts.start();
+
+    std::vector<fs::path> files = corpusFiles();
+    ASSERT_GE(files.size(), 24u) << "corpus unexpectedly small";
     for (const fs::path &path : files) {
         std::string name = path.filename().string();
         std::string bytes = readFile(path);
         ASSERT_FALSE(bytes.empty()) << name;
 
-        std::string from_evented = replayThroughServer(evented, bytes);
-        std::string from_threaded =
-            replayThroughServer(threaded, bytes);
-        EXPECT_EQ(from_evented, from_threaded) << name;
+        std::string reply = replayThroughServer(ts, bytes);
+        fs::path golden = goldenReplyPath(path);
+        if (updateGoldenRequested()) {
+            fs::create_directories(golden.parent_path());
+            std::ofstream(golden, std::ios::binary) << reply;
+            continue;
+        }
+        ASSERT_TRUE(fs::exists(golden))
+            << golden << " is missing; run with UPDATE_GOLDEN=1";
+        EXPECT_EQ(reply, readFile(golden)) << name;
 
         // Parse-error cases must surface their status on the wire.
         if (std::isdigit(static_cast<unsigned char>(name[0]))) {
             int expected = std::stoi(name.substr(0, 3));
-            if (expected != 200)
-                EXPECT_NE(from_evented.find(
-                              " " + std::to_string(expected) + " "),
+            if (expected != 200) {
+                EXPECT_NE(reply.find(" " + std::to_string(expected) +
+                                     " "),
                           std::string::npos)
-                    << name << ": " << from_evented;
+                    << name << ": " << reply;
+            }
         }
     }
-
-    evented->drain();
-    threaded->drain();
+    ts->drain();
 }
 
 TEST(HttpParser, PipelinedRequestsResumeAfterTake)
@@ -762,26 +791,20 @@ TEST(EndToEnd, ChunkedPostMatchesContentLengthPost)
 
 TEST(EndToEnd, BackpressureRejectsWith503AndRetryAfter)
 {
-    // Thread-per-session semantics: an idle connection pins a session
-    // worker, so the pool queue is the admission bound.
+    // Accept-time admission: beyond maxConnections open connections a
+    // new one is answered 503 + Retry-After and closed, not dropped.
     ServerOptions opt;
-    opt.core = CoreMode::Threaded;
-    opt.workers = 1;
-    opt.queueCapacity = 1;
-    opt.requestTimeoutMs = 2000;
+    opt.maxConnections = 1;
     opt.retryAfterSeconds = 7;
     TestServer ts(opt);
     ts.start();
 
-    // First connection pins the only worker; second fills the queue.
-    int busy = tcpConnect("127.0.0.1", ts.port(), 1000);
-    ASSERT_GE(busy, 0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    int queued = tcpConnect("127.0.0.1", ts.port(), 1000);
-    ASSERT_GE(queued, 0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    int held = tcpConnect("127.0.0.1", ts.port(), 1000);
+    ASSERT_GE(held, 0);
+    for (int i = 0; i < 100 && ts->connectionCount() < 1; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_EQ(ts->connectionCount(), 1u);
 
-    // Third connection must be rejected immediately, not dropped.
     int rejected = tcpConnect("127.0.0.1", ts.port(), 1000);
     ASSERT_GE(rejected, 0);
     std::string reply = readUntilClosed(rejected, 2000);
@@ -790,12 +813,157 @@ TEST(EndToEnd, BackpressureRejectsWith503AndRetryAfter)
         << reply;
 
     closeFd(rejected);
-    closeFd(queued);
-    closeFd(busy);
+    closeFd(held);
     ts->drain();
     std::string prom = obs::renderPrometheus(ts.registry);
-    EXPECT_NE(prom.find("macs_server_rejected_total"),
-              std::string::npos);
+    EXPECT_NE(prom.find("macs_server_rejected_total{reason="
+                        "\"backpressure\"} 1"),
+              std::string::npos)
+        << prom;
+}
+
+TEST(EndToEnd, FullComputeQueueShedsKeepAliveRequestWith503)
+{
+    // Request-level admission: a request on an already-admitted
+    // keep-alive connection is shed once queueCapacity requests wait
+    // for a compute worker.
+    ServerOptions opt;
+    opt.workers = 1;
+    opt.queueCapacity = 1;
+    opt.retryAfterSeconds = 7;
+    TestServer ts(opt);
+    ts.start();
+
+    HttpClient client("127.0.0.1", ts.port());
+    ClientResponse resp;
+    ASSERT_TRUE(client.request("GET", "/healthz", "", resp));
+    ASSERT_EQ(resp.status, 200);
+
+    // Pin the only worker on a latch, then queue one more task. The
+    // latch opens when the test scope ends, even on a failed ASSERT,
+    // so the server's drain never waits on a blocked worker.
+    struct Latch
+    {
+        std::promise<void> release;
+        std::shared_future<void> opened = release.get_future().share();
+        ~Latch() { release.set_value(); }
+    } latch;
+    std::atomic<bool> running{false};
+    pipeline::ThreadPool &pool = ts->computePool();
+    pool.submit([&running, opened = latch.opened] {
+        running = true;
+        opened.wait();
+    });
+    for (int i = 0; i < 500 && !running; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_TRUE(running);
+    pool.submit([opened = latch.opened] { opened.wait(); });
+    ASSERT_EQ(pool.queuedTasks(), 1u);
+
+    ASSERT_TRUE(client.request("GET", "/healthz", "", resp));
+    EXPECT_EQ(resp.status, 503);
+    const std::string *retry = resp.header("retry-after");
+    ASSERT_NE(retry, nullptr);
+    EXPECT_EQ(*retry, "7");
+    const std::string *conn = resp.header("connection");
+    ASSERT_NE(conn, nullptr);
+    EXPECT_EQ(*conn, "close");
+
+    std::string prom = obs::renderPrometheus(ts.registry);
+    EXPECT_NE(prom.find("macs_server_rejected_total{reason="
+                        "\"backpressure\"} 1"),
+              std::string::npos)
+        << prom;
+}
+
+TEST(EndToEnd, ServerThreadsAreShardsPlusWorkers)
+{
+    // No acceptor thread: the shards accept for themselves.
+    auto thread_count = [] {
+        size_t n = 0;
+        for (const auto &task :
+             fs::directory_iterator("/proc/self/task")) {
+            (void)task;
+            ++n;
+        }
+        return n;
+    };
+    // Sanitizer runtimes start a helper thread at the first thread
+    // creation; trigger it here so it is not counted as the server's.
+    std::thread([] {}).join();
+    size_t before = thread_count();
+    ServerOptions opt;
+    opt.workers = 2;
+    opt.shards = 3;
+    TestServer ts(opt);
+    ts.start();
+    EXPECT_EQ(thread_count() - before, 5u);
+
+    HttpClient client("127.0.0.1", ts.port());
+    ClientResponse resp;
+    ASSERT_TRUE(client.request("GET", "/healthz", "", resp));
+    EXPECT_EQ(resp.status, 200);
+    EXPECT_EQ(thread_count() - before, 5u);
+    ts->drain();
+}
+
+TEST(EndToEnd, IdleShardsTakeTurnsAccepting)
+{
+    // Every shard polls the one listener; a shard that accepted
+    // steps to the back of the line, so idle shards share the load.
+    ServerOptions opt;
+    opt.shards = 2;
+    TestServer ts(opt);
+    ts.start();
+
+    std::vector<int> fds;
+    for (size_t i = 1; i <= 4; ++i) {
+        fds.push_back(tcpConnect("127.0.0.1", ts.port(), 1000));
+        ASSERT_GE(fds.back(), 0);
+        for (int t = 0; t < 100 && ts->connectionCount() < i; ++t)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        ASSERT_EQ(ts->connectionCount(), i);
+    }
+    for (const char *shard : {"0", "1"}) {
+        double owned = ts->metricsRegistry()
+                           .gauge("macs_server_shard_connections",
+                                  "Connections owned per event-loop "
+                                  "shard",
+                                  obs::Labels{{"shard", shard}})
+                           .value();
+        EXPECT_GE(owned, 1.0) << "shard " << shard << " idle";
+    }
+    for (int fd : fds)
+        closeFd(fd);
+    ts->drain();
+}
+
+TEST(EndToEnd, PollFallbackAcceptsServesAndDrains)
+{
+    // The poll(2) backend (non-epoll hosts) polls the listener
+    // level-triggered from every shard: each connection must still be
+    // accepted exactly once, served, and drained.
+    ServerOptions opt;
+    opt.pollFallback = true;
+    opt.shards = 2;
+    TestServer ts(opt);
+    ts.start();
+
+    std::vector<std::unique_ptr<HttpClient>> clients;
+    for (int i = 0; i < 4; ++i) {
+        clients.push_back(
+            std::make_unique<HttpClient>("127.0.0.1", ts.port()));
+        ClientResponse resp;
+        ASSERT_TRUE(
+            clients.back()->request("GET", "/healthz", "", resp));
+        EXPECT_EQ(resp.status, 200);
+    }
+    EXPECT_EQ(ts->connectionCount(), 4u);
+    obs::Counter &accepted = ts->metricsRegistry().counter(
+        "macs_server_connections_total", "Connections accepted");
+    EXPECT_EQ(accepted.value(), 4.0);
+    ts->drain();
+    EXPECT_EQ(ts->connectionCount(), 0u);
 }
 
 TEST(EndToEnd, EventedCoreBoundsOpenConnectionsWith503)
@@ -1044,15 +1212,12 @@ TEST(Drain, ChunkedUploadInFlightCompletesAndJournalFlushes)
 // ---------------------------------------------------------------------
 // SIGPIPE regression: a client that disappears mid-response must be
 // an EPIPE on the server's send path (MSG_NOSIGNAL everywhere), never
-// a process-killing signal — for BOTH connection cores.
+// a process-killing signal.
 // ---------------------------------------------------------------------
 
-void
-clientClosesMidResponse(CoreMode core)
+TEST(Sigpipe, EventedCoreSurvivesClientClosingMidResponse)
 {
-    ServerOptions opt;
-    opt.core = core;
-    TestServer ts(std::move(opt));
+    TestServer ts;
     ts.start();
 
     for (int i = 0; i < 3; ++i) {
@@ -1077,16 +1242,6 @@ clientClosesMidResponse(CoreMode core)
     ClientResponse resp;
     ASSERT_TRUE(client.request("GET", "/healthz", "", resp));
     EXPECT_EQ(resp.status, 200);
-}
-
-TEST(Sigpipe, EventedCoreSurvivesClientClosingMidResponse)
-{
-    clientClosesMidResponse(CoreMode::Evented);
-}
-
-TEST(Sigpipe, ThreadedCoreSurvivesClientClosingMidResponse)
-{
-    clientClosesMidResponse(CoreMode::Threaded);
 }
 
 } // namespace

@@ -58,10 +58,11 @@
  *       --port N        listen port (0 = ephemeral; default 8080)
  *       --port-file F   write the bound port to F (for scripts)
  *       --workers N     compute workers (default: hardware)
- *       --queue N       pending-compute bound before 503 (default 64)
+ *       --queue N       per-request 503 once N requests wait for a
+ *                       compute worker (default 64)
  *       --shards N      event-loop shards (0 = auto; default 0)
- *       --core MODE     evented (default) or threaded (legacy)
- *       --max-connections N  open-connection bound before 503
+ *       --max-connections N  accept-time 503 beyond N open
+ *                            connections (default 4096)
  *       --cache-cap N   LRU bound of the shared cache (default 1024)
  *       --processes N   SO_REUSEPORT worker processes under a
  *                       supervisor (default 1 = no supervisor)
@@ -997,7 +998,7 @@ int
 cmdServe(const std::vector<std::string> &args)
 {
     std::string host = "127.0.0.1", checkpoint_path, fault_spec;
-    std::string port_file, core = "evented";
+    std::string port_file;
     long port = 8080, workers = 0, queue = 64, cache_cap = 1024;
     long request_timeout = 5000, retries = 2, trip = 512;
     long max_body = 0, shards = 0, max_conns = 4096;
@@ -1067,10 +1068,6 @@ cmdServe(const std::vector<std::string> &args)
                 max_conns < 1)
                 diags.error(
                     "--max-connections expects a positive number");
-        } else if (a == "--core") {
-            core = next("--core");
-            if (core != "evented" && core != "threaded")
-                diags.error("--core expects 'evented' or 'threaded'");
         } else if (a == "--cache-cap") {
             if (!parseInt(next("--cache-cap"), cache_cap) ||
                 cache_cap < 0)
@@ -1130,8 +1127,6 @@ cmdServe(const std::vector<std::string> &args)
         opt.port = static_cast<int>(port);
         opt.workers = static_cast<size_t>(workers);
         opt.queueCapacity = static_cast<size_t>(queue);
-        opt.core = core == "threaded" ? server::CoreMode::Threaded
-                                      : server::CoreMode::Evented;
         opt.shards = static_cast<size_t>(shards);
         opt.maxConnections = static_cast<size_t>(max_conns);
         opt.requestTimeoutMs = static_cast<int>(request_timeout);
@@ -1263,10 +1258,9 @@ cmdServe(const std::vector<std::string> &args)
             }
             std::fprintf(stderr,
                          "macs serve: supervising %ld workers on "
-                         "%s:%d (core %s, queue %ld, cache cap "
-                         "%ld)\n",
-                         processes, host.c_str(), fleet_port,
-                         core.c_str(), queue, cache_cap);
+                         "%s:%d (queue %ld, cache cap %ld)\n",
+                         processes, host.c_str(), fleet_port, queue,
+                         cache_cap);
         });
         int rc = fleet.run();
         return port_file_failed && rc == 0 ? 1 : rc;
@@ -1291,9 +1285,8 @@ cmdServe(const std::vector<std::string> &args)
     }
     std::fprintf(stderr,
                  "macs serve: listening on %s:%d "
-                 "(core %s, queue %ld, cache cap %ld)\n",
-                 host.c_str(), srv.port(), core.c_str(), queue,
-                 cache_cap);
+                 "(queue %ld, cache cap %ld)\n",
+                 host.c_str(), srv.port(), queue, cache_cap);
 
     while (g_stop_requested == 0)
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -1433,8 +1426,7 @@ usage()
         "(docs/SERVER.md; --host H, --port N,\n"
         "                          --port-file PATH, --workers N, "
         "--queue N, --cache-cap N,\n"
-        "                          --shards N, --core evented|"
-        "threaded, --max-connections N,\n"
+        "                          --shards N, --max-connections N,\n"
         "                          --request-timeout MS, "
         "--job-timeout MS, --retries N, --trip N,\n"
         "                          --max-body BYTES, "
